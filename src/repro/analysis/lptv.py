@@ -32,6 +32,15 @@ Cost: one orbit linearisation plus two block-triangular sweeps -
 independent of the number of mismatch parameters beyond cheap matrix
 multiplies.  This is the "no additional simulation cost" property the
 paper stresses for contributions, correlations and design sensitivities.
+:func:`orbit_sensitivities` keeps it across calls: the solution for
+every declared mismatch parameter is solved once per orbit and cached on
+the :class:`~repro.analysis.pss.PssResult`, so a new measure set or
+covariance on an analysed orbit costs only measure extraction.  The
+cache goes with :meth:`PssResult.clear_caches
+<repro.analysis.pss.PssResult.clear_caches>` (which an analysis
+session's orbit-store eviction calls).  Explicit injections,
+:func:`periodic_sensitivities` and :meth:`PeriodicLinearization.solve`
+always solve afresh.
 
 Engine selection (the Krylov path and its dense fallback)
 ---------------------------------------------------------
@@ -59,7 +68,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import AnalysisError
-from ..linalg.krylov import GMRES_MAXITER, GMRES_TOL, solve_blocked
+from ..linalg.krylov import (GMRES_MAXITER, GMRES_TOL, solve_blocked,
+                             use_matrix_free)
 from .mna import CompiledCircuit, Injection
 from .orbit import OrbitLinearization
 from .pss import PssResult
@@ -316,5 +326,42 @@ def periodic_sensitivities(pss_result: PssResult,
     return lin.solve(injections)
 
 
+def orbit_sensitivities(pss_result: PssResult) -> SensitivitySolution:
+    """The LPTV solution for every mismatch parameter the circuit
+    declares, solved once per orbit and engine.
+
+    The first call builds the injections on the orbit and solves them;
+    later calls wrap the cached arrays in a new
+    :class:`SensitivitySolution`, bit-identical to the first.  The
+    cache lives on *pss_result* (see :meth:`PssResult.clear_caches
+    <repro.analysis.pss.PssResult.clear_caches>`) and holds no
+    reference back to it.  Its arrays are shared by every solution it
+    hands out, so they are read-only.  Concurrent first calls on one
+    orbit may each solve; they store identical arrays.
+    """
+    compiled = pss_result.compiled
+    sparse = use_matrix_free(compiled.backend, compiled.n, None)
+    memo = pss_result._sens
+    if memo is None or memo[0] != sparse:
+        injections = compiled.mismatch_injections(pss_result.state,
+                                                  pss_result.x)
+        if not injections:
+            raise AnalysisError(
+                f"circuit '{compiled.circuit.name}' declares no "
+                "mismatch parameters")
+        sol = PeriodicLinearization(pss_result).solve(injections)
+        for arr in (sol.waveforms, sol.dT_dp,
+                    *(a for inj in injections
+                      for a in (inj.di_dp, inj.dq_dp))):
+            if arr is not None:
+                arr.flags.writeable = False
+        memo = (sparse, tuple(injections), sol.waveforms, sol.dT_dp)
+        pss_result._sens = memo
+    _, injections, waveforms, dT_dp = memo
+    return SensitivitySolution(pss=pss_result, injections=list(injections),
+                               waveforms=waveforms, dT_dp=dT_dp)
+
+
 __all__ = ["PeriodicLinearization", "SensitivitySolution",
-           "periodic_sensitivities", "OrbitLinearization"]
+           "orbit_sensitivities", "periodic_sensitivities",
+           "OrbitLinearization"]

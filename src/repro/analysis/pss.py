@@ -135,6 +135,12 @@ class PssResult:
     #: :meth:`linearization` call, shared by every periodic consumer).
     _lin: "OrbitLinearization | None" = field(
         default=None, repr=False, compare=False)
+    #: Cached default-injection LPTV solution ``(matrix_free,
+    #: injections, waveforms, dT_dp)`` (built once by
+    #: :func:`~repro.analysis.lptv.orbit_sensitivities`).  It holds no
+    #: reference back to this result, so dropping the result frees it
+    #: without the cyclic garbage collector.
+    _sens: "tuple | None" = field(default=None, repr=False, compare=False)
 
     @property
     def n_steps(self) -> int:
@@ -166,11 +172,12 @@ class PssResult:
 
     def clear_caches(self) -> "PssResult":
         """Drop the cached orbit linearisation (its per-step
-        factorization list is the memory that matters); the orbit
-        itself survives.  Returns ``self``."""
+        factorization list is the memory that matters) and the cached
+        LPTV solution; the orbit itself survives.  Returns ``self``."""
         if self._lin is not None:
             self._lin.clear_factors()
         self._lin = None
+        self._sens = None
         return self
 
     def waveset(self) -> WaveformSet:

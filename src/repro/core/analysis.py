@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..analysis.dcop import dc_operating_point
-from ..analysis.lptv import (PeriodicLinearization, SensitivitySolution)
+from ..analysis.lptv import (PeriodicLinearization, SensitivitySolution,
+                             orbit_sensitivities)
 from ..analysis.mna import CompiledCircuit, Injection, ParamState
 from ..analysis.pss import PssOptions, PssResult
 from ..circuit.elements import ParamKey
@@ -146,23 +147,28 @@ def run_transient_mismatch(
     This is the post-PSS half of the paper's flow (steps 1, 3-4 of the
     module docstring): build pseudo-noise injections on the orbit,
     solve the LPTV system once for all of them, and map the sensitivity
-    waveforms through the measures.  Callers obtain *pss_result*
-    themselves - :meth:`AnalysisSession.transient_mismatch
+    waveforms through the measures.  Without explicit *injections* the
+    LPTV solution comes from the orbit's cache
+    (:func:`~repro.analysis.lptv.orbit_sensitivities`), so a repeat on
+    the same *pss_result* costs only the measures.  Callers obtain
+    *pss_result* themselves - :meth:`AnalysisSession.transient_mismatch
     <repro.service.session.AnalysisSession.transient_mismatch>` from
     its orbit cache, direct callers from :func:`~repro.analysis.pss.
     pss` - and the session patches ``runtime_breakdown["pss"]`` with
     the true orbit cost afterwards.
     """
     t_start = time.perf_counter()
-    if injections is None:
-        injections = compiled.mismatch_injections(pss_result.state,
-                                                  pss_result.x)
-    if not injections:
-        raise AnalysisError(
-            f"circuit '{compiled.circuit.name}' declares no mismatch "
-            "parameters")
-    lin = PeriodicLinearization(pss_result)
-    sens = lin.solve(injections)
+    if injections is None and compiled is pss_result.compiled:
+        sens = orbit_sensitivities(pss_result)
+    else:
+        if injections is None:
+            injections = compiled.mismatch_injections(pss_result.state,
+                                                      pss_result.x)
+        if not injections:
+            raise AnalysisError(
+                f"circuit '{compiled.circuit.name}' declares no mismatch "
+                "parameters")
+        sens = PeriodicLinearization(pss_result).solve(injections)
     t_lptv = time.perf_counter()
 
     sigmas = sens.sigmas

@@ -18,7 +18,8 @@ Three backends are registered (:func:`available_backends`):
     the reference implementation the parity tests compare against.
 ``"cached"``
     Dense LU with factorization reuse.  Batchless systems are factored
-    with :func:`scipy.linalg.lu_factor` and solved with ``lu_solve``;
+    with LAPACK ``getrf`` and solved with ``getrs`` (called directly,
+    bit-identical to :func:`scipy.linalg.lu_factor` / ``lu_solve``);
     batched Monte-Carlo stacks pre-invert once (``numpy.linalg.inv``)
     so every subsequent solve is a single batched mat-vec.  The modified
     Newton policy below decides when to re-factor.

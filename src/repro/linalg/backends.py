@@ -8,7 +8,6 @@ handle one exception type regardless of the underlying library.
 
 from __future__ import annotations
 
-import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -60,20 +59,27 @@ class Factorization(ABC):
 
 
 class DenseLuFactorization(Factorization):
-    """``scipy.linalg.lu_factor`` of one 2-D system."""
+    """LAPACK ``getrf`` of one 2-D system, solved by ``getrs``.
+
+    The routines ``scipy.linalg.lu_factor`` / ``lu_solve`` wrap, called
+    directly: the results are bit-identical, without the wrappers'
+    per-call argument checks (this sits on the Newton hot path, where
+    the systems are small and the checks cost more than the solve).
+    """
 
     def __init__(self, a: np.ndarray):
-        if not np.all(np.isfinite(a)):
+        if not np.isfinite(a).all():
             raise np.linalg.LinAlgError("non-finite matrix entries")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            self._lu_piv = scipy.linalg.lu_factor(a)
-        if not np.all(np.diagonal(self._lu_piv[0]) != 0.0):
+        getrf, self._getrs = scipy.linalg.get_lapack_funcs(
+            ("getrf", "getrs"), (a,))
+        self._lu, self._piv, info = getrf(a)
+        if info != 0:
             raise np.linalg.LinAlgError("singular matrix")
 
     def solve(self, rhs: np.ndarray, trans: bool = False) -> np.ndarray:
-        return scipy.linalg.lu_solve(self._lu_piv, rhs,
-                                     trans=1 if trans else 0)
+        x, _ = self._getrs(self._lu, self._piv, rhs,
+                           trans=1 if trans else 0)
+        return x
 
 
 class BatchedInverseFactorization(Factorization):

@@ -8,15 +8,20 @@ layer (:meth:`Circuit.fingerprint` / ``CompiledCircuit.cache_key`` /
 * **compiled** - :class:`~repro.analysis.mna.CompiledCircuit` by
   (fingerprint, cmin, backend spec);
 * **states** - :class:`~repro.analysis.mna.ParamState` by state key;
-* **pss** - :class:`~repro.analysis.pss.PssResult` orbits (and with
-  them the lazily built orbit linearizations) by (cache key, backend,
-  drive spec, options);
+* **pss** - :class:`~repro.analysis.pss.PssResult` orbits by (cache
+  key, backend, drive spec, options), and with them the lazily built
+  orbit linearization and LPTV sensitivity solution.  A new measure set
+  or covariance on an analysed orbit therefore costs only measure
+  extraction - the LPTV system is solved once per cached orbit;
 * **results** - memoized :class:`~repro.service.requests.AnalysisResult`
   values by request key.
 
 Eviction and :meth:`AnalysisSession.clear` cascade through the evicted
 objects' own ``clear_caches()`` so that bounded store size means bounded
-memory, not just a bounded entry count.
+memory, not just a bounded entry count: evicting an orbit drops its
+linearization and its LPTV solution.  A result's eviction leaves alone
+the compiled circuit or orbit it shares with a store that still holds
+them.
 
 Execution is registry-driven: :meth:`AnalysisSession.run` looks the
 request kind up in :mod:`repro.service.engines` and runs the registered
@@ -31,6 +36,7 @@ functional callers share these caches without knowing they exist.
 
 from __future__ import annotations
 
+import functools
 import threading
 from collections import OrderedDict
 from typing import Callable
@@ -100,6 +106,12 @@ class _LruStore:
             for value in values:
                 self.on_evict(value)
 
+    def holds(self, value) -> bool:
+        """Whether *value* itself (by identity) is one of the stored
+        values."""
+        with self._lock:
+            return any(v is value for v in self._data.values())
+
     def __len__(self) -> int:
         with self._lock:
             return len(self._data)
@@ -114,11 +126,16 @@ class _LruStore:
                     "hits": self.hits, "misses": self.misses}
 
 
-def _clear_detail_caches(result: AnalysisResult) -> None:
+def _clear_detail_caches(result: AnalysisResult,
+                         held: "tuple[_LruStore, ...]" = ()) -> None:
+    """Clear the caches of an evicted result's compiled circuit and
+    orbit, except those one of the *held* stores still caches (their
+    caches serve the next request on them)."""
     detail = getattr(result, "detail", None)
     for attr in ("compiled", "pss"):
         obj = getattr(detail, attr, None)
-        if obj is not None and hasattr(obj, "clear_caches"):
+        if (obj is not None and hasattr(obj, "clear_caches")
+                and not any(store.holds(obj) for store in held)):
             obj.clear_caches()
 
 
@@ -144,8 +161,13 @@ class AnalysisSession:
             state_capacity, on_evict=lambda s: s.clear_caches())
         self.pss_store = _LruStore(
             pss_capacity, on_evict=lambda p: p.clear_caches())
-        self.results = _LruStore(result_capacity,
-                                 on_evict=_clear_detail_caches)
+        # the callback sees the stores, not the session: a bound
+        # method would make a session <-> store reference cycle
+        self.results = _LruStore(
+            result_capacity,
+            on_evict=functools.partial(
+                _clear_detail_caches,
+                held=(self.compiled, self.pss_store)))
 
     # -- domain-object caches ------------------------------------------
     def compile(self, circuit, cmin: float | None = None,

@@ -33,6 +33,7 @@ from repro.linalg import (SPARSE_AUTO_THRESHOLD, CachedDenseBackend,
                           FactorizationCache, SparseBackend,
                           available_backends, mark_singular_lanes,
                           resolve_backend)
+from repro.linalg.backends import DenseLuFactorization
 
 BACKENDS = ["dense", "cached", "sparse"]
 
@@ -106,6 +107,41 @@ class TestBackendSelection:
         compiled = compile_circuit(rc_ladder(SPARSE_AUTO_THRESHOLD))
         assert compiled.backend.name == "sparse"
         assert compile_circuit(rc_ladder(4)).backend.name == "cached"
+
+
+class TestDenseLu:
+    """``DenseLuFactorization`` calls LAPACK ``getrf``/``getrs``
+    directly; it must stay bit-identical to the scipy wrappers."""
+
+    def test_bit_identical_to_scipy_lu(self):
+        import scipy.linalg
+        rng = np.random.default_rng(2024)
+        for i in range(1200):
+            n = (16, 17, 40)[i % 3]
+            a = rng.standard_normal((n, n))
+            fact = DenseLuFactorization(a)
+            ref = scipy.linalg.lu_factor(a)
+            for trans in (False, True):
+                for rhs in (rng.standard_normal(n),
+                            rng.standard_normal((n, 3))):
+                    x = fact.solve(rhs, trans=trans)
+                    want = scipy.linalg.lu_solve(ref, rhs,
+                                                 trans=int(trans))
+                    assert x.shape == want.shape
+                    assert np.array_equal(x, want)
+
+    def test_caller_matrix_untouched(self):
+        a = np.array([[0.0, 2.0], [3.0, 1.0]])
+        keep = a.copy()
+        DenseLuFactorization(a[:, :]).solve(np.ones(2))
+        assert np.array_equal(a, keep)
+
+    @pytest.mark.parametrize("a", [np.zeros((3, 3)),
+                                   np.array([[1.0, 2.0], [2.0, 4.0]]),
+                                   np.array([[1.0, np.nan], [0.0, 1.0]])])
+    def test_singular_or_non_finite_raises(self, a):
+        with pytest.raises(np.linalg.LinAlgError):
+            DenseLuFactorization(a)
 
 
 # ---------------------------------------------------------------------------
