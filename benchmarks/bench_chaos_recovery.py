@@ -4,8 +4,11 @@ The job supervision layer (:class:`~repro.service.jobs.RetryPolicy`)
 must be free when nothing fails and correct when everything does.  This
 benchmark measures both halves on a transient Monte-Carlo run:
 
-* **clean vs supervised** - the identical serial run with and without a
-  retry policy (no faults injected).  Supervision on the clean path is
+* **clean vs supervised** - the identical serial workload as a bare
+  plan -> ``run_shard`` per spec -> merge loop (the unsupervised
+  reference, written out here because the library itself always
+  supervises) and through ``monte_carlo_transient`` with a retry
+  policy armed (no faults injected).  Supervision on the clean path is
   one extra frame per shard; the acceptance gate is <= 5% overhead
   (plus a small absolute allowance for timer noise on sub-second runs).
 * **chaos** - the same workload through a pooled
@@ -25,10 +28,13 @@ import time
 import numpy as np
 from conftest import WallClock, mc_samples, publish
 
+from repro.analysis import compile_circuit
 from repro.circuit import Circuit, Sine
 from repro.core import monte_carlo_transient
 from repro.core.measures import DcLevel
-from repro.service import FaultPlan, FaultRule, RetryPolicy
+from repro.service import (FaultPlan, FaultRule, RetryPolicy,
+                           mc_transient_shards, merge_shard_results,
+                           run_shard)
 
 T_STOP = 3e-6
 DT = 2e-8
@@ -43,6 +49,19 @@ def _rc_mc():
     ckt.add_resistor("R", "in", "out", 1e3, sigma_rel=0.03)
     ckt.add_capacitor("C", "out", "0", 1e-9, sigma_rel=0.01)
     return ckt
+
+
+def _bare(n, chunk):
+    """The unsupervised reference: plan, execute each shard once on one
+    compile, merge.  The supervised run does the same work plus its
+    retry frames, the joint draw it keeps on the result and the
+    statistics tail, so the gate charges all of that to supervision."""
+    specs = mc_transient_shards(
+        _rc_mc(), [DcLevel("vout", "out")], n, T_STOP, DT,
+        window=WINDOW, seed=SEED, chunk_size=chunk)
+    compiled = compile_circuit(_rc_mc())
+    return merge_shard_results([run_shard(spec, compiled)
+                                for spec in specs])
 
 
 def _run(n, chunk, retry=None, n_workers=None):
@@ -61,7 +80,7 @@ def test_chaos_recovery(results_dir):
     t_clean = t_sup = float("inf")
     for _ in range(2):
         with WallClock() as w:
-            clean = _run(n, chunk)
+            clean = _bare(n, chunk)
         t_clean = min(t_clean, w.seconds)
         with WallClock() as w:
             supervised = _run(n, chunk, retry=policy)
@@ -108,7 +127,8 @@ def test_chaos_recovery(results_dir):
         f"chaos recovery (transient MC, n = {n}, "
         f"{len(spans)} shards of {chunk})",
         f"{'path':<22s} {'wall [s]':>10s}  notes",
-        f"{'clean serial':<22s} {t_clean:>10.3f}  no supervision",
+        f"{'clean serial':<22s} {t_clean:>10.3f}  "
+        "bare run_shard loop, no supervision",
         f"{'supervised serial':<22s} {t_sup:>10.3f}  "
         f"retry policy armed, no faults ({overhead * 100:+.1f}%)",
         f"{'chaos pooled (2 wkr)':<22s} {t_chaos:>10.3f}  "

@@ -5,9 +5,9 @@ a transient response: brute-force *transient noise* integration [18],
 which spends most of its effort on the settling phase, and the LPTV
 analysis on the periodic steady state (Fig. 5(b)), which this package
 implements as the primary engine.  This module provides the former, so
-the cost/accuracy comparison can be reproduced
-(``benchmarks/bench_ablation_engines.py``) and so physical-noise
-ensembles can be sanity-checked (the kT/C test).
+the comparison can be reproduced and physical-noise ensembles
+sanity-checked.  Its only caller is the kT/C test
+(``tests/test_transient_noise.py``); no benchmark runs it.
 
 Method: every (white) noise source is sampled per time step as a
 Gaussian current with variance ``S0 / (2 dt)`` (single-sided PSD folded

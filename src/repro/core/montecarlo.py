@@ -22,7 +22,6 @@ measured performances.  Two implementation notes:
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +30,7 @@ from ..analysis.mna import CompiledCircuit
 from ..analysis.transient import TransientOptions, transient
 from ..circuit.elements import ParamKey
 from ..errors import MeasurementError
-from ..stats import SampleStats, describe
+from ..stats import SampleStats
 from ..waveform import WaveformSet
 from .analysis import _as_compiled
 from .measures import Measure
@@ -52,7 +51,7 @@ class MonteCarloResult:
     n_failed: int = 0
     failed_metrics: dict[str, int] = field(default_factory=dict)
     #: Structured :class:`~repro.errors.FailureRecord` values for spans
-    #: a supervised run degraded (empty on clean/unsupervised runs).
+    #: a run degraded (empty on clean and fail-fast runs).
     failures: list = field(default_factory=list)
 
     def sigma(self, metric: str) -> float:
@@ -198,15 +197,14 @@ def _transient_chunk(circuit, measures: list[Measure],
                      ) -> tuple[dict[str, np.ndarray], int]:
     """Simulate and measure one chunk of Monte-Carlo lanes.
 
-    Module-level so that :class:`~concurrent.futures.
-    ProcessPoolExecutor` workers can run it; both the serial loop and
-    the workers receive the already-compiled circuit (workers get it
-    pickled), so every chunk runs the identical compiled object.
-    Results depend only on the chunk's deltas, so a shard executed in a
-    worker process is bit-for-bit identical to the same chunk executed
-    serially - on the adaptive grid too: the lanes of a chunk share one
-    LTE-controlled step sequence, and that sequence is a pure function
-    of the chunk's deltas.
+    Reached through :func:`~repro.service.shards.run_shard`, serially on
+    the caller's compile or in a worker process on a compile of the
+    same content (circuit, ``cmin`` and backend).  Results depend only on the
+    chunk's deltas, so a shard executed in a worker process is
+    bit-for-bit identical to the same chunk executed serially - on the
+    adaptive grid too: the lanes of a chunk share one LTE-controlled
+    step sequence, and that sequence is a pure function of the chunk's
+    deltas.
     """
     compiled = _as_compiled(circuit)
     state = compiled.make_state(deltas=deltas)
@@ -264,27 +262,32 @@ def monte_carlo_transient(circuit, measures: list[Measure], n: int,
         Linear-solver backend override (see :mod:`repro.linalg`).
     n_workers:
         Fan the (independent) chunks out over this many worker
-        *processes*.  All deltas are drawn up front from the single
-        seeded generator and sliced per chunk, and results are merged
-        in chunk order, so ``samples``/``n_failed`` are bit-for-bit
-        identical to the serial run at the same *chunk_size* - with and
-        without *adaptive* (each chunk's step sequence depends only on
-        that chunk's lanes).  ``None``/1 keeps the serial in-process
-        loop.
+        *processes* (a :class:`~repro.service.jobs.JobQueue`).  Every
+        shard redraws its span of the single seeded joint draw, each
+        worker compiles the circuit with the caller's ``cmin`` and
+        backend name, and results are merged in chunk order, so
+        ``samples``/``n_failed`` are bit-for-bit identical to the
+        serial run at the same *chunk_size* - with and without
+        *adaptive* (each chunk's step sequence depends only on that
+        chunk's lanes), and with custom measures that the service
+        registry does not know (they are pickled to the workers).
+        ``None``/1 keeps the serial in-process loop.
     adaptive, rtol, atol, dt_min, dt_max:
         LTE-controlled adaptive stepping per chunk (see
         :class:`~repro.analysis.transient.TransientOptions`).  The
         lanes of one chunk share a single step sequence (the controller
         takes the worst lane), so a chunk remains one stacked solve.
     retry:
-        A :class:`~repro.service.jobs.RetryPolicy` putting every shard
-        under supervision: retryable failures retry with backoff
-        (plus deadlines and pool-crash recovery on parallel runs), and
-        a shard that exhausts its attempts merges NaN-frozen with its
-        lanes counted in ``n_failed`` and a
-        :class:`~repro.errors.FailureRecord` appended to ``failures``,
-        instead of aborting the run.  Unaffected shards stay
-        bit-identical to the unsupervised run.
+        The :class:`~repro.service.jobs.RetryPolicy` every shard runs
+        under: retryable failures retry with backoff (plus deadlines
+        and pool-crash re-dispatch on parallel runs), and a shard that
+        exhausts its attempts merges NaN-frozen with its lanes counted
+        in ``n_failed`` and a :class:`~repro.errors.FailureRecord`
+        appended to ``failures``, instead of aborting the run.
+        Unaffected shards stay bit-identical to a fault-free run.
+        ``None`` is :data:`~repro.service.jobs.FAIL_FAST`: one attempt
+        per shard, and the first failure raises (a crashed worker
+        process as :class:`~repro.errors.WorkerCrashError`).
     variations:
         Declarative :class:`~repro.variation.VariationSpec` as an
         alternative to *param_covariance* (mutually exclusive); lowered
@@ -295,8 +298,7 @@ def monte_carlo_transient(circuit, measures: list[Measure], n: int,
     -------
     MonteCarloResult
     """
-    from ..service.shards import (mc_transient_shards,
-                                  merge_shard_results, run_shard)
+    from ..service.shards import mc_transient_shards
     compiled = _as_compiled(circuit, backend=backend)
     param_covariance = _resolve_variations(compiled, param_covariance,
                                            variations)
@@ -314,46 +316,34 @@ def monte_carlo_transient(circuit, measures: list[Measure], n: int,
         extra_record=extra_record, backend=backend, adaptive=adaptive,
         rtol=rtol, atol=atol, dt_min=dt_min, dt_max=dt_max)
 
-    results = _run_specs(specs, compiled, n_workers, retry, run_shard)
+    results = _run_specs(specs, compiled, n_workers, retry)
+    return _merged_result(results, n, all_deltas, t_begin)
+
+
+def _run_specs(specs, compiled, n_workers: int | None, retry) -> list:
+    """Execute shard *specs* under *retry* (``None``: fail fast) -
+    pooled through a :class:`~repro.service.jobs.JobQueue`, or serially
+    on *compiled* - returning results in spec (= merge) order."""
+    from ..service.jobs import JobQueue, run_supervised_shard
+    if n_workers is not None and n_workers > 1 and len(specs) > 1:
+        with JobQueue(n_workers=n_workers, retry=retry) as queue:
+            jobs = [queue.submit_shard(spec) for spec in specs]
+            return [job.result() for job in jobs]
+    return [run_supervised_shard(spec, retry, compiled=compiled)
+            for spec in specs]
+
+
+def _merged_result(results: list, n: int, deltas: dict,
+                   t_begin: float) -> MonteCarloResult:
+    """Merge shard *results* in span order and take the statistics."""
+    from ..service.shards import merge_shard_results
     merged = merge_shard_results(results)
-
-    stats = {}
-    failed_metrics = {}
-    for name, vals in merged.samples.items():
-        good = vals[np.isfinite(vals)]
-        failed_metrics[name] = int(vals.size - good.size)
-        if good.size < 2:
-            raise MeasurementError(
-                f"Monte-Carlo metric '{name}' failed on almost all lanes")
-        stats[name] = describe(good)
-
+    stats, failed_metrics = merged.statistics()
     return MonteCarloResult(
-        n=n, samples=merged.samples, stats=stats, deltas=all_deltas,
+        n=n, samples=merged.samples, stats=stats, deltas=deltas,
         runtime_seconds=time.perf_counter() - t_begin,
         n_failed=merged.n_failed, failed_metrics=failed_metrics,
         failures=list(merged.failures))
-
-
-def _run_specs(specs, compiled, n_workers: int | None, retry,
-               run_shard) -> list:
-    """Execute shard *specs* - serial or pooled, supervised when a
-    retry policy is given - returning results in spec (= merge) order."""
-    parallel = n_workers is not None and n_workers > 1 and len(specs) > 1
-    if retry is not None:
-        from ..service.jobs import JobQueue, run_supervised_shard
-        if parallel:
-            with JobQueue(n_workers=n_workers, retry=retry) as queue:
-                jobs = [queue.submit_shard(spec) for spec in specs]
-                return [job.result() for job in jobs]
-        return [run_supervised_shard(spec, retry, compiled=compiled)
-                for spec in specs]
-    if parallel:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            futures = [pool.submit(run_shard, spec, compiled)
-                       for spec in specs]
-            # merge in submission (= serial) order
-            return [fut.result() for fut in futures]
-    return [run_shard(spec, compiled) for spec in specs]
 
 
 def _dc_chunk(circuit, outputs: dict[str, "str | tuple[str, str]"],
@@ -391,14 +381,14 @@ def monte_carlo_dc(circuit, outputs: dict[str, str | tuple[str, str]],
     *chunk_size* reproduces the parallel samples exactly.
 
     *retry* supervises the shards exactly as in
-    :func:`monte_carlo_transient`: degraded spans merge as NaN, are
+    :func:`monte_carlo_transient` (``None``: one attempt per shard,
+    the first failure raises): degraded spans merge as NaN, are
     counted in ``n_failed`` and reported through ``failures``, and the
     statistics are taken over the surviving finite lanes.  *variations*
     (a :class:`~repro.variation.VariationSpec`, mutually exclusive with
     *param_covariance*) lowers to the equivalent covariance up front.
     """
-    from ..service.shards import (mc_dc_shards, merge_shard_results,
-                                  run_shard)
+    from ..service.shards import mc_dc_shards
     compiled = _as_compiled(circuit, backend=backend)
     param_covariance = _resolve_variations(compiled, param_covariance,
                                            variations)
@@ -414,19 +404,5 @@ def monte_carlo_dc(circuit, outputs: dict[str, str | tuple[str, str]],
                          sigma_scale=sigma_scale,
                          param_covariance=param_covariance,
                          backend=backend)
-    results = _run_specs(specs, compiled, n_workers, retry, run_shard)
-    merged = merge_shard_results(results)
-    stats = {}
-    failed_metrics = {}
-    for name, vals in merged.samples.items():
-        good = vals[np.isfinite(vals)]
-        failed_metrics[name] = int(vals.size - good.size)
-        if good.size < 2:
-            raise MeasurementError(
-                f"Monte-Carlo metric '{name}' failed on almost all lanes")
-        stats[name] = describe(good)
-    return MonteCarloResult(
-        n=n, samples=merged.samples, stats=stats, deltas=deltas,
-        runtime_seconds=time.perf_counter() - t_begin,
-        n_failed=merged.n_failed, failed_metrics=failed_metrics,
-        failures=list(merged.failures))
+    results = _run_specs(specs, compiled, n_workers, retry)
+    return _merged_result(results, n, deltas, t_begin)

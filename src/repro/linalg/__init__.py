@@ -84,11 +84,11 @@ back to it with a warning.
 (:func:`repro.core.montecarlo.monte_carlo_transient` /
 ``monte_carlo_dc`` with ``n_workers``).  Monte-Carlo chunks are
 independent stacked solves with purely local solver state, so they fan
-out over a :class:`~concurrent.futures.ProcessPoolExecutor`.  All
-mismatch deltas are drawn up front from the single seeded generator
-and sliced per chunk; shards are merged in chunk order, making the
-parallel ``samples``/``n_failed`` bit-for-bit identical to the serial
-run at the same chunk size.
+out over the worker processes of a
+:class:`~repro.service.jobs.JobQueue`.  Every shard redraws its slice
+of the single seeded joint draw; shards are merged in chunk order,
+making the parallel ``samples``/``n_failed`` bit-for-bit identical to
+the serial run at the same chunk size.
 
 Modified-Newton re-factor policy
 --------------------------------

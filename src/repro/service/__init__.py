@@ -16,10 +16,12 @@ top-level ``README.md``):
   serializable Monte-Carlo shard protocol whose merge is bit-identical
   to the in-process run.
 
-Supervision rides on top: :class:`RetryPolicy` puts queue submissions
-under deadlines, retry with exponential backoff, pool-crash recovery
-and deterministic degradation (NaN-frozen spans with structured
-:class:`~repro.errors.FailureRecord` reporting), and
+Every job and shard runs supervised: :class:`RetryPolicy` sets the
+deadlines, retry with exponential backoff, pool-crash recovery and
+deterministic degradation (NaN-frozen spans with structured
+:class:`~repro.errors.FailureRecord` reporting); ``retry=None`` is
+:data:`FAIL_FAST` (and a scatter over plain URLs runs under
+:data:`FAIL_FAST_SCATTER`), one attempt whose failure raises.
 :mod:`repro.service.faults` injects reproducible faults at the
 execution sites to prove all of it.
 
@@ -34,9 +36,11 @@ from .client import (RemoteJob, RemoteSession, ScatterResult,
 from .engines import (AnalysisEngine, engine_for, register_engine,
                       registered_kinds, unregister_engine)
 from .faults import FaultPlan, FaultRule
-from .jobs import Job, JobQueue, RetryPolicy, run_supervised_shard
+from .jobs import (FAIL_FAST, Job, JobQueue, RetryPolicy,
+                   run_supervised_shard)
 from .net import AnalysisServer, TenantConfig, serve
-from .resilience import CircuitBreaker, ScatterPolicy, WorkerPool
+from .resilience import (FAIL_FAST_SCATTER, CircuitBreaker,
+                         ScatterPolicy, WorkerPool)
 from .requests import (REQUEST_FORMAT_VERSION, AnalysisRequest,
                        AnalysisResult)
 from .serialize import (circuit_from_dict, circuit_to_dict, from_jsonable,
@@ -51,7 +55,8 @@ __all__ = [
     "AnalysisSession", "default_session",
     "AnalysisEngine", "register_engine", "unregister_engine",
     "engine_for", "registered_kinds",
-    "Job", "JobQueue", "RetryPolicy", "run_supervised_shard",
+    "Job", "JobQueue", "RetryPolicy", "FAIL_FAST",
+    "run_supervised_shard",
     "FaultPlan", "FaultRule", "FailureRecord",
     "ShardSpec", "ShardResult", "SHARD_PROTOCOL_VERSION",
     "MergedShards", "degraded_shard_result",
@@ -62,6 +67,7 @@ __all__ = [
     "AnalysisServer", "TenantConfig", "serve",
     "RemoteSession", "RemoteJob", "ScatterResult",
     "scatter_shards", "scatter_monte_carlo_transient",
-    "WorkerPool", "ScatterPolicy", "CircuitBreaker",
+    "WorkerPool", "ScatterPolicy", "FAIL_FAST_SCATTER",
+    "CircuitBreaker",
     "TransportError", "DrainingError",
 ]

@@ -28,15 +28,11 @@ import json
 import time
 import urllib.error
 import urllib.request
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .. import errors as _errors
 from ..errors import (AnalysisError, JobTimeoutError, ReproError,
                       SolverError, TransportError)
-from ..stats import describe
 from .faults import maybe_inject
 from .requests import (REQUEST_FORMAT_VERSION, AnalysisRequest,
                        AnalysisResult)
@@ -304,48 +300,31 @@ def annotate_shard_failure(exc: BaseException, spec: ShardSpec,
     return exc
 
 
-def _run_static(session: RemoteSession,
-                spec: ShardSpec) -> ShardResult:
-    try:
-        return session.run_shard(spec)
-    except Exception as exc:
-        raise annotate_shard_failure(exc, spec, session.base_url)
-
-
 def scatter_shards(workers, specs: list[ShardSpec],
                    policy=None) -> list[ShardResult]:
     """Execute *specs* across *workers*, concurrently; results return
     in spec order, ready for
     :func:`~repro.service.shards.merge_shard_results`.
 
-    *workers* may be URLs / :class:`RemoteSession` objects (static
-    round-robin over the set) or a
-    :class:`~repro.service.resilience.WorkerPool` (dynamic dispatch
-    with failover, breakers and drain avoidance).  Passing *policy* (a
-    :class:`~repro.service.resilience.ScatterPolicy`) with plain
-    workers wraps them in a temporary pool for this call.
+    *workers* may be a :class:`~repro.service.resilience.WorkerPool`
+    (dynamic dispatch with failover, breakers and drain avoidance,
+    under its own policy) or URLs / :class:`RemoteSession` objects,
+    which run in a temporary pool for this call under *policy* (a
+    :class:`~repro.service.resilience.ScatterPolicy`; ``None`` is
+    :data:`~repro.service.resilience.FAIL_FAST_SCATTER` - one attempt
+    per shard, and the first failure raises).
 
     On a terminal shard failure the outstanding not-yet-started shards
     are cancelled and the error propagates annotated with the failing
     span and endpoint.
     """
-    from .resilience import WorkerPool
+    from .resilience import FAIL_FAST_SCATTER, WorkerPool
     if isinstance(workers, WorkerPool):
         return workers.scatter(specs)
-    if policy is not None:
-        with WorkerPool(workers, policy=policy) as pool:
-            return pool.scatter(specs)
-    sessions = _as_sessions(workers)
-    with ThreadPoolExecutor(max_workers=len(sessions)) as pool:
-        futures = [pool.submit(_run_static,
-                               sessions[i % len(sessions)], spec)
-                   for i, spec in enumerate(specs)]
-        try:
-            return [f.result() for f in futures]
-        except BaseException:
-            for f in futures:
-                f.cancel()
-            raise
+    if policy is None:
+        policy = FAIL_FAST_SCATTER
+    with WorkerPool(workers, policy=policy) as pool:
+        return pool.scatter(specs)
 
 
 @dataclass
@@ -411,14 +390,7 @@ def scatter_monte_carlo_transient(workers, circuit, measures, n: int,
             f"all {n} lanes lost to transport failures across "
             f"{len(specs)} shards; first: "
             f"{merged.failures[0].message}")
-    stats = {}
-    for name, vals in merged.samples.items():
-        good = vals[np.isfinite(vals)]
-        if good.size < 2:
-            raise _errors.MeasurementError(
-                f"Monte-Carlo metric '{name}' failed on almost all "
-                "lanes")
-        stats[name] = describe(good)
+    stats, _ = merged.statistics()
     return ScatterResult(n=n, samples=merged.samples, stats=stats,
                          n_failed=merged.n_failed,
                          failures=list(merged.failures),

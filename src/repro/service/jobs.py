@@ -4,7 +4,10 @@
 AnalysisRequest` jobs - inline through a shared
 :class:`~repro.service.session.AnalysisSession` when no pool is
 requested, or across a :class:`~concurrent.futures.ProcessPoolExecutor`
-when one is.
+when one is.  This module is the only place a process pool is built:
+pooled Monte-Carlo (:func:`~repro.core.montecarlo.
+monte_carlo_transient` with ``n_workers``) runs its shards through a
+:class:`JobQueue` too.
 
 Worker processes return the *serialized* result
 (:meth:`AnalysisResult.to_dict`): the rich ``detail`` object holds live
@@ -16,27 +19,32 @@ compile/PSS once per worker, not once per job.
 
 Supervision
 -----------
-Pass ``retry=RetryPolicy(...)`` to put every submission under
-supervision:
+Every submission runs under a :class:`RetryPolicy`.  ``retry=None``
+stands for :data:`FAIL_FAST` - one attempt, no backoff, no
+degradation - which is the same supervised code with a budget of one,
+not a second code path.  A fuller policy adds:
 
-* each attempt gets a wall-clock **deadline** (pooled queues only -
-  inline execution cannot be preempted); an overrun attempt is
-  abandoned and re-dispatched, and its stale result, should the hung
-  worker ever produce one, is discarded by a generation check, so a
-  shard is never merged twice;
-* failed attempts **retry with exponential backoff**, but only for
+* a wall-clock **deadline** per attempt (pooled queues only - inline
+  execution cannot be preempted); an overrun attempt is abandoned and
+  re-dispatched, and its stale result, should the hung worker ever
+  produce one, is discarded by a generation check, so a shard is never
+  merged twice;
+* **retry with exponential backoff** of failed attempts, but only for
   errors a retry can plausibly fix (:data:`~repro.errors.
   RETRYABLE_ERRORS`) - malformed requests fail immediately;
-* a **worker crash** (``BrokenProcessPool``) respawns the executor
-  exactly once per breakage (pool-epoch guarded, however many jobs
-  were in flight) and re-dispatches each surviving job; re-execution
-  is safe because shards are generative
-  (:class:`~repro.service.shards.ShardSpec` redraws from the seed), so
-  the bit-identical merge guarantee survives recovery;
-* a shard that exhausts its attempts **degrades deterministically**
+* **deterministic degradation** of a shard that exhausts its attempts
   (``RetryPolicy.degrade``, default on): its span merges NaN-frozen
   with ``n_failed`` accounting and a structured
   :class:`~repro.errors.FailureRecord`, instead of killing the run.
+
+Whatever the policy, a **worker crash** (``BrokenProcessPool``)
+surfaces as :class:`~repro.errors.WorkerCrashError` and respawns the
+executor exactly once per breakage (pool-epoch guarded, however many
+jobs were in flight), so the queue stays usable; with attempts left,
+each surviving job is re-dispatched.  Re-execution is safe because
+shards are generative (:class:`~repro.service.shards.ShardSpec`
+redraws from the seed), so the bit-identical merge guarantee survives
+recovery.
 
 Deadlines are measured from dispatch, so time spent queued behind busy
 workers counts; size them with headroom over the per-shard runtime.
@@ -48,6 +56,7 @@ the process boundary.
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 from concurrent.futures import CancelledError, Future, ProcessPoolExecutor
@@ -106,6 +115,11 @@ class RetryPolicy:
         return cls(**data)
 
 
+#: The policy ``retry=None`` stands for: one attempt, no backoff, and a
+#: failure raises instead of degrading.
+FAIL_FAST = RetryPolicy(max_attempts=1, base_delay=0.0, degrade=False)
+
+
 class Job:
     """Handle on one submitted request."""
 
@@ -124,8 +138,9 @@ class Job:
 
     @property
     def failed_attempts(self) -> int:
-        """Attempts the supervisor has seen fail so far (0 when the
-        job is unsupervised or succeeded first try)."""
+        """Attempts the pool supervisor has seen fail so far (0 for
+        inline jobs, whose retries run before :meth:`JobQueue.submit`
+        returns, and for jobs that succeeded first try)."""
         return (self._supervisor.attempts
                 if self._supervisor is not None else 0)
 
@@ -169,9 +184,9 @@ def compiled_for_shard(spec: ShardSpec, session):
     circuit = circuit_from_dict(spec.circuit)
     backend = spec.options.get("backend")
     if session is not None and session.backend is None:
-        return session.compile(circuit, backend=backend)
+        return session.compile(circuit, cmin=spec.cmin, backend=backend)
     from ..analysis.mna import compile_circuit
-    return compile_circuit(circuit, backend=backend)
+    return compile_circuit(circuit, cmin=spec.cmin, backend=backend)
 
 
 def execute_shard(spec: ShardSpec, attempt: int = 0,
@@ -212,22 +227,30 @@ def run_with_retry(policy: RetryPolicy, attempt_fn, degrade_fn):
     raise last
 
 
-def run_supervised_shard(spec: ShardSpec, policy: RetryPolicy,
+def _shard_degrader(spec: ShardSpec, policy: RetryPolicy):
+    """The ``degrade_fn`` of a shard job: its NaN-frozen span, or
+    ``None`` when *policy* raises on exhaustion."""
+    if not policy.degrade:
+        return None
+    return functools.partial(degraded_shard_result, spec)
+
+
+def run_supervised_shard(spec: ShardSpec,
+                         policy: RetryPolicy | None = None,
                          compiled=None) -> ShardResult:
-    """Execute one shard under *policy*, in the calling process.
+    """Execute one shard under *policy* (default :data:`FAIL_FAST`),
+    in the calling process.
 
     This is the inline form of :meth:`JobQueue.submit_shard`
     supervision: retry with backoff on retryable errors, degrade to a
     NaN-frozen span on exhaustion (``policy.degrade``).  Deadlines are
     not enforced - a synchronous attempt cannot be preempted.
     """
-    degrade_fn = None
-    if policy.degrade:
-        def degrade_fn(exc, attempts):
-            return degraded_shard_result(spec, exc, attempts)
+    if policy is None:
+        policy = FAIL_FAST
     return run_with_retry(
         policy, lambda attempt: execute_shard(spec, attempt, compiled),
-        degrade_fn)
+        _shard_degrader(spec, policy))
 
 
 # ---------------------------------------------------------------------------
@@ -408,10 +431,12 @@ class JobQueue:
         ``None``/1 executes every job inline at submission time;
         ``> 1`` spawns a process pool.
     retry:
-        A :class:`RetryPolicy` putting every submission under
-        supervision (deadlines, retry with backoff, pool-crash
-        recovery, shard degradation - see the module docstring).
-        ``None`` (default) keeps the unsupervised fail-fast behaviour.
+        The :class:`RetryPolicy` every submission runs under
+        (deadlines, retry with backoff, shard degradation - see the
+        module docstring).  ``None`` (default) is :data:`FAIL_FAST`:
+        one attempt whose failure raises, a worker crash included (as
+        :class:`~repro.errors.WorkerCrashError`, after which the pool
+        is respawned for the next submission).
 
     Use as a context manager, or call :meth:`shutdown`.
     """
@@ -423,7 +448,7 @@ class JobQueue:
             session = default_session()
         self.session = session
         self.n_workers = n_workers
-        self.retry = retry
+        self.retry = retry if retry is not None else FAIL_FAST
         self._inline = n_workers is None or n_workers <= 1
         self._pool_lock = threading.Lock()
         self._pool_epoch = 0
@@ -476,12 +501,8 @@ class JobQueue:
                 maybe_inject("run_request", key=request.key(),
                              attempt=attempt)
                 return self.session.run(request)
-            return Job(request, _inline_future(
-                self.retry, attempt_fn, None))
-        if self.retry is None:
-            inner, _ = self._submit_raw(_run_request, request.to_dict(),
-                                        0)
-            return Job(request, _chain(inner, AnalysisResult.from_dict))
+            return Job(request, _resolved(
+                lambda: run_with_retry(self.retry, attempt_fn, None)))
         sup = _Supervised(self, _run_request, request.to_dict(),
                           AnalysisResult.from_dict, self.retry)
         return Job(request, sup.future, supervisor=sup)
@@ -490,28 +511,12 @@ class JobQueue:
         """Queue one Monte-Carlo shard (see
         :mod:`repro.service.shards`)."""
         if self._inline:
-            if self.retry is not None:
-                future: Future = Future()
-                try:
-                    future.set_result(run_supervised_shard(
-                        spec, self.retry,
-                        compiled=compiled_for_shard(spec, self.session)))
-                except Exception as exc:
-                    future.set_exception(exc)
-                return Job(spec, future)
-            return Job(spec, _inline_future(
-                None, lambda attempt: execute_shard(
-                    spec, attempt,
-                    compiled_for_shard(spec, self.session)), None))
-        if self.retry is None:
-            inner, _ = self._submit_raw(_run_shard, spec.to_dict(), 0)
-            return Job(spec, _chain(inner, ShardResult.from_dict))
-        degrade_fn = None
-        if self.retry.degrade:
-            def degrade_fn(exc, attempts):
-                return degraded_shard_result(spec, exc, attempts)
+            return Job(spec, _resolved(lambda: run_supervised_shard(
+                spec, self.retry,
+                compiled=compiled_for_shard(spec, self.session))))
         sup = _Supervised(self, _run_shard, spec.to_dict(),
-                          ShardResult.from_dict, self.retry, degrade_fn)
+                          ShardResult.from_dict, self.retry,
+                          _shard_degrader(spec, self.retry))
         return Job(spec, sup.future, supervisor=sup)
 
     def map(self, requests) -> list:
@@ -541,35 +546,12 @@ class JobQueue:
         self.shutdown()
 
 
-def _inline_future(policy: RetryPolicy | None, attempt_fn,
-                   degrade_fn) -> Future:
-    """Execute now (optionally under a retry policy); deliver through
-    a resolved future so inline and pooled jobs share an interface."""
+def _resolved(fn) -> Future:
+    """Call *fn* now; deliver its outcome through a resolved future so
+    inline and pooled jobs share an interface."""
     future: Future = Future()
     try:
-        if policy is None:
-            future.set_result(attempt_fn(0))
-        else:
-            future.set_result(
-                run_with_retry(policy, attempt_fn, degrade_fn))
+        future.set_result(fn())
     except Exception as exc:  # propagate through the future
         future.set_exception(exc)
     return future
-
-
-def _chain(inner: Future, decode) -> Future:
-    """An outer future resolving to ``decode(inner.result())``."""
-    outer: Future = Future()
-
-    def _done(fut: Future) -> None:
-        if fut.cancelled():
-            outer.cancel()
-            return
-        exc = fut.exception()
-        if exc is not None:
-            outer.set_exception(exc)
-        else:
-            outer.set_result(decode(fut.result()))
-
-    inner.add_done_callback(_done)
-    return outer

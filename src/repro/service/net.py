@@ -65,10 +65,13 @@ Every error leaves as one tagged payload built from
 :class:`~repro.errors.FailureRecord` (the same schema degraded shard
 results carry), with the HTTP status mapped from the exception
 hierarchy - see :func:`status_for` - and the registered kinds listed on
-unknown-kind errors.  Supervision is server-side: construct the server
-with ``retry=RetryPolicy(...)`` and transient solver faults retry (or
-degrade, for shards) exactly as they do on an in-process supervised
-queue, surfacing as ``failures`` on a ``200`` rather than as a 5xx.
+unknown-kind errors.  Supervision is server-side: every ``/run`` and
+``/shard`` runs under the server's ``retry`` policy.  The default,
+:data:`~repro.service.jobs.FAIL_FAST`, gives each one attempt whose
+failure is returned as the error payload; construct the server with
+``retry=RetryPolicy(...)`` and transient solver faults retry (or
+degrade, for shards) exactly as they do on an in-process queue,
+surfacing as ``failures`` on a ``200`` rather than as a 5xx.
 """
 
 from __future__ import annotations
@@ -85,8 +88,8 @@ from ..errors import (AnalysisError, AuthenticationError, DrainingError,
                       NetlistError, QuotaExceededError, ReproError,
                       SolverError, TransportError, WorkerCrashError)
 from .engines import registered_kinds
-from .jobs import JobQueue, RetryPolicy
-from .jobs import compiled_for_shard, execute_shard, run_supervised_shard
+from .jobs import (JobQueue, RetryPolicy, compiled_for_shard,
+                   run_supervised_shard)
 from .requests import REQUEST_FORMAT_VERSION, AnalysisRequest
 from .serialize import to_jsonable
 from .session import AnalysisSession
@@ -357,13 +360,9 @@ class ServiceApp:
         spec = ShardSpec.from_dict(payload)
         with self._quota_lock:
             tenant.requests += 1
-        compiled = compiled_for_shard(spec, self.session)
-        if self.retry is not None:
-            result = run_supervised_shard(spec, self.retry,
-                                          compiled=compiled)
-        else:
-            result = execute_shard(spec, 0, compiled)
-        return result.to_dict()
+        return run_supervised_shard(
+            spec, self.retry,
+            compiled=compiled_for_shard(spec, self.session)).to_dict()
 
     def submit_job(self, tenant: _TenantState, payload: dict) -> dict:
         self._refuse_if_draining("jobs")
@@ -607,8 +606,9 @@ def _main(argv: list | None = None) -> int:
                         help="0 binds an ephemeral port (announced on "
                              "stdout)")
     parser.add_argument("--retry-attempts", type=int, default=0,
-                        help="arm server-side shard supervision with "
-                             "this retry budget (0: unsupervised)")
+                        help="server-side attempts per shard and "
+                             "request (0: one attempt whose failure "
+                             "is returned, no degradation)")
     args = parser.parse_args(argv)
     retry = (RetryPolicy(max_attempts=args.retry_attempts)
              if args.retry_attempts > 0 else None)

@@ -1,11 +1,15 @@
 """Fault-tolerant cross-host execution: worker pools over N daemons.
 
-PR 7 taught the in-process :class:`~repro.service.jobs.JobQueue` to
-survive its own chaos - retries with backoff, deadlines, pool-crash
-recovery, deterministic degradation.  This module extends the same
-guarantees across the wire, where the failure modes are a daemon
-SIGKILLed mid-shard, a connection reset, a slow straggler, or a host
-draining for a rolling restart:
+The in-process :class:`~repro.service.jobs.JobQueue` survives its own
+chaos - retries with backoff, deadlines, pool-crash recovery,
+deterministic degradation.  This module extends the same guarantees
+across the wire, where the failure modes are a daemon SIGKILLed
+mid-shard, a connection reset, a slow straggler, or a host draining
+for a rolling restart.  Every cross-host scatter runs through a
+:class:`WorkerPool`: :func:`~repro.service.client.scatter_shards` over
+plain URLs builds a temporary one under :data:`FAIL_FAST_SCATTER` (one
+attempt per shard, the first failure raises, annotated with its span
+and endpoint), so there is no separate unsupervised dispatch path.
 
 * :class:`CircuitBreaker` - one endpoint's health automaton: *closed*
   (traffic flows) -> *open* after ``failure_threshold`` consecutive
@@ -26,7 +30,8 @@ draining for a rolling restart:
   (tagged 503) is rerouted without tripping its breaker, and a shard
   that exhausts every endpoint degrades into NaN-frozen lanes carrying
   a :class:`~repro.errors.FailureRecord` with ``site="transport"`` -
-  mirroring the PR 7 degrade contract instead of aborting the run.
+  mirroring the job queue's degrade contract instead of aborting the
+  run.
   Optional *hedging* duplicates a shard that outlives the observed
   latency percentile onto a second endpoint; the first result wins and
   the straggler is discarded before the merge (results are taken once
@@ -151,6 +156,13 @@ class ScatterPolicy:
     @classmethod
     def from_dict(cls, data: dict) -> "ScatterPolicy":
         return cls(**data)
+
+
+#: The policy a scatter over plain workers runs under when none is
+#: given: one attempt per shard, no backoff, and an exhausted shard
+#: raises instead of degrading.
+FAIL_FAST_SCATTER = ScatterPolicy(max_attempts=1, base_delay=0.0,
+                                  degrade=False)
 
 
 class CircuitBreaker:
@@ -445,11 +457,13 @@ class WorkerPool:
                 last_exc, last_ep = exc, ep
                 attempts += 1
                 self._sleep(policy.delay(attempts))
+        exc = self._exhausted(spec, last_exc, tried)
         if policy.degrade:
-            return degraded_shard_result(
-                spec, self._exhausted(spec, last_exc, tried), attempts,
-                site="transport")
-        raise self._exhausted(spec, last_exc, tried)
+            return degraded_shard_result(spec, exc, attempts,
+                                         site="transport")
+        if tried:
+            raise annotate_shard_failure(exc, spec, tried[-1])
+        raise exc
 
     def _exhausted(self, spec: ShardSpec, last_exc, tried) -> TransportError:
         where = ", ".join(tried) if tried else "no endpoint reachable"
@@ -478,11 +492,6 @@ class WorkerPool:
             for f in futures:
                 f.cancel()
             raise
-
-    def run_shard(self, spec: ShardSpec) -> ShardResult:
-        """One shard through the pool's full supervision (the
-        session-shaped convenience)."""
-        return self._run_one(spec)
 
     # -- health probing ------------------------------------------------
     def probe(self) -> dict:

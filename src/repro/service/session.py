@@ -1,13 +1,11 @@
 """The analysis session: bounded, content-addressed caches + execution.
 
 :class:`AnalysisSession` is the application-layer entry point.  It owns
-four bounded LRU stores, all keyed on content hashes from the domain
-layer (:meth:`Circuit.fingerprint` / ``CompiledCircuit.cache_key`` /
-``CompiledCircuit.state_key``):
+three bounded LRU stores, all keyed on content hashes from the domain
+layer (:meth:`Circuit.fingerprint` / ``CompiledCircuit.cache_key``):
 
 * **compiled** - :class:`~repro.analysis.mna.CompiledCircuit` by
   (fingerprint, cmin, backend spec);
-* **states** - :class:`~repro.analysis.mna.ParamState` by state key;
 * **pss** - :class:`~repro.analysis.pss.PssResult` orbits by (cache
   key, backend, drive spec, options), and with them the lazily built
   orbit linearization and LPTV sensitivity solution.  A new measure set
@@ -147,18 +145,16 @@ class AnalysisSession:
     backend:
         Default linear-solver backend spec (name string) for compiles
         that do not override it.
-    compiled_capacity, state_capacity, pss_capacity, result_capacity:
-        LRU bounds of the four stores.
+    compiled_capacity, pss_capacity, result_capacity:
+        LRU bounds of the three stores.
     """
 
     def __init__(self, backend: str | None = None,
-                 compiled_capacity: int = 8, state_capacity: int = 32,
-                 pss_capacity: int = 8, result_capacity: int = 64):
+                 compiled_capacity: int = 8, pss_capacity: int = 8,
+                 result_capacity: int = 64):
         self.backend = backend
         self.compiled = _LruStore(
             compiled_capacity, on_evict=lambda c: c.clear_caches())
-        self.states = _LruStore(
-            state_capacity, on_evict=lambda s: s.clear_caches())
         self.pss_store = _LruStore(
             pss_capacity, on_evict=lambda p: p.clear_caches())
         # the callback sees the stores, not the session: a bound
@@ -176,22 +172,6 @@ class AnalysisSession:
         :func:`~repro.service.engines.compile_cached`)."""
         from .engines import compile_cached
         return compile_cached(self, circuit, cmin=cmin, backend=backend)
-
-    def state(self, compiled, deltas=None, source_values=None,
-              batch_shape=None):
-        """Parameter state through the session cache (see
-        :meth:`~repro.analysis.mna.CompiledCircuit.make_state`)."""
-        key = compiled.state_key(deltas=deltas,
-                                 source_values=source_values,
-                                 batch_shape=batch_shape)
-        hit = self.states.get(key)
-        if hit is not None:
-            return hit
-        state = compiled.make_state(deltas=deltas,
-                                    source_values=source_values,
-                                    batch_shape=batch_shape)
-        self.states.put(key, state)
-        return state
 
     def pss(self, compiled, period: float | None = None,
             state=None, options=None,
@@ -270,17 +250,15 @@ class AnalysisSession:
     # -- hygiene -------------------------------------------------------
     def clear(self) -> None:
         """Drop every store, cascading through the cached objects' own
-        ``clear_caches()`` (compiled circuits, parameter states, orbit
-        linearizations) so the memory actually comes back."""
+        ``clear_caches()`` (compiled circuits, orbit linearizations) so
+        the memory actually comes back."""
         self.results.clear()
         self.pss_store.clear()
-        self.states.clear()
         self.compiled.clear()
 
     def stats(self) -> dict:
         """Per-store size/capacity/hit/miss counters."""
         return {"compiled": self.compiled.stats(),
-                "states": self.states.stats(),
                 "pss": self.pss_store.stats(),
                 "results": self.results.stats()}
 

@@ -2,8 +2,8 @@
 
 PR 2 made chunked Monte-Carlo deterministic: all parameter deltas come
 from one seeded generator, chunks are sliced spans of that draw, and the
-merge in span order is bit-identical whether chunks ran serially or on a
-:class:`~concurrent.futures.ProcessPoolExecutor`.  This module promotes
+merge in span order is bit-identical whether chunks ran serially or in
+worker processes.  This module promotes
 that implicit contract into an explicit, versioned, serializable
 protocol:
 
@@ -23,6 +23,8 @@ Both records round-trip through plain dicts / JSON
 results), and :func:`~repro.core.montecarlo.monte_carlo_transient`
 itself routes through :func:`run_shard`, so the protocol *is* the
 in-process path rather than a parallel reimplementation.
+:meth:`MergedShards.statistics` is the one statistics tail of every
+Monte-Carlo entry point, local or scattered.
 """
 
 from __future__ import annotations
@@ -34,7 +36,10 @@ from typing import NamedTuple
 import numpy as np
 
 from ..circuit.netlist import content_digest
-from ..errors import AnalysisError, FailureRecord
+from ..constants import CMIN_DEFAULT
+from ..errors import AnalysisError, FailureRecord, MeasurementError
+from ..linalg.backends import available_backends
+from ..stats import describe
 from .serialize import (circuit_from_dict, circuit_record,
                         decode_measures, encode_measures,
                         from_jsonable, measure_tokens,
@@ -47,7 +52,10 @@ from .serialize import (circuit_from_dict, circuit_record,
 #: v3: :class:`ShardSpec` grew the declarative ``variations`` payload
 #: (a tagged :class:`~repro.variation.VariationSpec`, lowered onto the
 #: circuit's declaration order when no explicit covariance is given).
-SHARD_PROTOCOL_VERSION = 3
+#: v4: ``options["cmin"]`` carries the planned compile's minimum node
+#: capacitance (see :attr:`ShardSpec.cmin`), and ``options["backend"]``
+#: its backend name when the plan started from a compiled circuit.
+SHARD_PROTOCOL_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -58,8 +66,9 @@ class ShardSpec:
     :func:`~repro.service.serialize.circuit_to_dict` record;
     ``measures`` (transient) / ``outputs`` (dc) and ``options`` carry
     the rest of the workload.  Measures may be live objects on
-    in-process specs; only fully serialized specs can cross a host
-    boundary (``to_dict`` raises otherwise).
+    in-process specs; ``to_dict`` keeps them live, so such a spec
+    pickles to a local worker process but cannot cross a host boundary
+    (JSON encoding raises ``TypeError``).
     """
 
     kind: str
@@ -102,9 +111,8 @@ class ShardSpec:
 
     # -- serialization -------------------------------------------------
     def to_dict(self) -> dict:
-        from .serialize import to_jsonable
         d = asdict(self)
-        d["measures"] = to_jsonable(self.measures)
+        d["measures"] = encode_measures(self.measures)
         return d
 
     @classmethod
@@ -145,6 +153,14 @@ class ShardSpec:
     @property
     def n_lanes(self) -> int:
         return self.stop - self.start
+
+    @property
+    def cmin(self) -> float:
+        """The minimum node capacitance to compile with: the planned
+        compile's, or ``CMIN_DEFAULT`` when the plan started from an
+        uncompiled circuit."""
+        cmin = self.options.get("cmin")
+        return CMIN_DEFAULT if cmin is None else float(cmin)
 
 
 @dataclass
@@ -204,6 +220,16 @@ def _spans(n: int, chunk_size: int) -> list[tuple[int, int]]:
             for start in range(0, n, chunk_size)]
 
 
+def _compile_options(circuit, backend) -> dict:
+    """The compile a plan describes, so every worker rebuilds the same
+    system: a compiled *circuit* hands over its ``cmin`` and, unless
+    *backend* overrides it, the name of its registered backend."""
+    if backend is None:
+        name = getattr(getattr(circuit, "backend", None), "name", None)
+        backend = name if name in available_backends() else None
+    return {"backend": backend, "cmin": getattr(circuit, "cmin", None)}
+
+
 def mc_transient_shards(circuit, measures: list, n: int, t_stop: float,
                         dt: float, chunk_size: int = 250,
                         window: tuple | None = None, seed: int = 0,
@@ -228,8 +254,9 @@ def mc_transient_shards(circuit, measures: list, n: int, t_stop: float,
         "t_stop": float(t_stop), "dt": float(dt),
         "window": list(window) if window is not None else None,
         "method": method, "extra_record": list(extra_record or []),
-        "backend": backend, "adaptive": adaptive,
+        "adaptive": adaptive,
         "rtol": rtol, "atol": atol, "dt_min": dt_min, "dt_max": dt_max,
+        **_compile_options(circuit, backend),
     }
     record = circuit_record(circuit)
     encoded = encode_measures(measures)
@@ -254,7 +281,8 @@ def mc_dc_shards(circuit, outputs: dict, n: int, chunk_size: int,
                       n_total=n, start=start, stop=stop, seed=seed,
                       sigma_scale=sigma_scale, param_covariance=cov,
                       variations=variation_payload(variations),
-                      outputs=outs, options={"backend": backend})
+                      outputs=outs,
+                      options=_compile_options(circuit, backend))
             for start, stop in _spans(n, chunk_size)]
 
 
@@ -283,14 +311,15 @@ def run_shard(spec: ShardSpec, compiled=None) -> ShardResult:
     """Execute one shard and return its :class:`ShardResult`.
 
     *compiled* short-circuits the circuit rebuild for in-process
-    callers (the pool workers of ``monte_carlo_transient`` receive the
-    pickled compile); a cross-host worker passes ``None`` and compiles
-    from the spec's serialized circuit - content hashing guarantees
-    both describe the same system.
+    callers; a worker passes ``None`` (or a compile of its own session,
+    see :func:`~repro.service.jobs.compiled_for_shard`) and compiles
+    from the spec's serialized circuit with the spec's ``cmin`` -
+    content hashing guarantees both describe the same system.
     """
     if compiled is None:
         from ..analysis.mna import compile_circuit
         compiled = compile_circuit(circuit_from_dict(spec.circuit),
+                                   cmin=spec.cmin,
                                    backend=spec.options.get("backend"))
     deltas = spec.deltas(compiled)
     window = spec.options.get("window")
@@ -365,6 +394,25 @@ class MergedShards(NamedTuple):
     samples: dict
     n_failed: int
     failures: list
+
+    def statistics(self) -> tuple[dict, dict]:
+        """``(stats, failed_metrics)``: each metric's
+        :func:`~repro.stats.describe` over its finite samples, and its
+        count of non-finite (failed or degraded) lanes.
+
+        Raises :class:`~repro.errors.MeasurementError` when a metric
+        has fewer than two finite samples.
+        """
+        stats, failed = {}, {}
+        for name, vals in self.samples.items():
+            good = vals[np.isfinite(vals)]
+            failed[name] = int(vals.size - good.size)
+            if good.size < 2:
+                raise MeasurementError(
+                    f"Monte-Carlo metric '{name}' failed on almost all "
+                    "lanes")
+            stats[name] = describe(good)
+        return stats, failed
 
 
 def merge_shard_results(results: list[ShardResult]) -> MergedShards:

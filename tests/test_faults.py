@@ -329,6 +329,24 @@ class TestPooledSupervision:
                               clean.samples["vout"])
         assert sup.failures == []
 
+    def test_fail_fast_queue_survives_a_worker_crash(self, clean):
+        # retry=None is a one-attempt policy on the same supervised
+        # path: the crash surfaces typed, the pool is respawned, and
+        # the queue keeps working
+        specs = _specs()
+        plan = FaultPlan(rules=[FaultRule(site="run_shard",
+                                          kind="crash", start=12)])
+        with plan.active():
+            with JobQueue(n_workers=2) as queue:
+                crashed = queue.submit_shard(specs[2])
+                with pytest.raises(WorkerCrashError):
+                    crashed.result(timeout=60)
+                assert crashed.failed_attempts == 1
+                healthy = queue.submit_shard(specs[0]).result(timeout=60)
+                assert queue.pool_epoch == 1
+        assert np.array_equal(healthy.samples["vout"],
+                              clean.samples["vout"][:6])
+
     def test_shutdown_cancels_queued_futures(self):
         # a failing map() unwinds through __exit__; cancel_futures=True
         # is what keeps the teardown from blocking on queued work

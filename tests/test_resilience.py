@@ -377,6 +377,17 @@ class TestWorkerPool:
             assert info.value.shard_span == (4, 8)
             assert info.value.endpoint == server.url
 
+    def test_plain_url_scatter_to_dead_endpoint_names_span(self):
+        """Plain URLs run a one-attempt pool; its exhaustion carries
+        the same span/endpoint annotation as a workload failure."""
+        url = _dead_url()
+        with pytest.raises(TransportError) as info:
+            scatter_shards([RemoteSession(url, timeout=1.0)],
+                           _specs(n=4, chunk=4))
+        assert info.value.shard_span == (0, 4)
+        assert info.value.endpoint == url
+        assert f"[shard [0, 4) on {url}]" in str(info.value)
+
     def test_hedged_dispatch_beats_a_straggler(self):
         """A shard stuck on a slow endpoint past the observed latency
         percentile is duplicated onto the other endpoint; the first

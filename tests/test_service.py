@@ -232,3 +232,21 @@ class TestImportLayering:
             sys.path.remove(str(tools))
         root = Path(__file__).parent.parent
         assert violations(root) == []
+
+    def test_process_pools_only_in_the_job_queue(self, tmp_path):
+        tools = Path(__file__).parent.parent / "tools"
+        sys.path.insert(0, str(tools))
+        try:
+            from check_import_layering import violations
+        finally:
+            sys.path.remove(str(tools))
+        service = tmp_path / "src" / "repro" / "service"
+        core = tmp_path / "src" / "repro" / "core"
+        service.mkdir(parents=True)
+        core.mkdir(parents=True)
+        pool = "from concurrent.futures import ProcessPoolExecutor\n"
+        (service / "jobs.py").write_text(pool)
+        (core / "montecarlo.py").write_text(pool)
+        found = violations(tmp_path, only="process-pools-in-jobs")
+        assert len(found) == 1
+        assert "montecarlo.py:1: [process-pools-in-jobs]" in found[0]

@@ -6,15 +6,21 @@ produces bit-identical samples, and the merge reproduces the
 single-process Monte-Carlo run exactly.
 """
 
+import json
+
 import numpy as np
 import pytest
 
+from repro.analysis import compile_circuit
 from repro.circuit import Circuit, Sine
+from repro.circuit.technology import default_technology
+from repro.circuits import five_transistor_ota
 from repro.core import DcLevel, monte_carlo_dc, monte_carlo_transient
 from repro.errors import AnalysisError
-from repro.service import (ShardResult, ShardSpec, mc_dc_shards,
-                           mc_transient_shards, merge_shard_results,
-                           run_shard)
+from repro.service import (AnalysisServer, RetryPolicy, ShardResult,
+                           ShardSpec, mc_dc_shards, mc_transient_shards,
+                           merge_shard_results, run_shard,
+                           scatter_monte_carlo_transient)
 
 
 def _rc():
@@ -28,6 +34,11 @@ def _rc():
 
 MC_KW = dict(n=10, t_stop=3e-6, dt=2e-8, window=(2e-6, 3e-6), seed=7,
              chunk_size=4)
+
+
+class LiveLevel(DcLevel):
+    """A measure outside the service type registry: it pickles to a
+    local worker process but has no JSON form."""
 
 
 class TestTransientShards:
@@ -81,6 +92,84 @@ class TestTransientShards:
         one = ShardSpec.from_dict(specs[1].to_dict()).deltas(compiled)
         for k, v in one.items():
             assert np.array_equal(v, full[k][4:8])
+
+
+class TestOneExecutionPath:
+    """Serial, pooled and pooled-under-a-policy runs share one shard
+    path, so nothing the serial run honours may be lost in a worker."""
+
+    KW = dict(MC_KW, n=8)
+
+    def _three_runs(self, circuit, measures, kw=KW):
+        return [monte_carlo_transient(circuit, measures, **kw, **extra)
+                for extra in ({}, {"n_workers": 2},
+                              {"n_workers": 2, "retry": RetryPolicy()})]
+
+    def test_custom_cmin_reaches_every_worker(self):
+        compiled = compile_circuit(_rc(), cmin=1e-13)
+        meas = [DcLevel("vout", "out")]
+        serial, pooled, supervised = self._three_runs(compiled, meas)
+        assert np.array_equal(serial.samples["vout"],
+                              pooled.samples["vout"])
+        assert np.array_equal(serial.samples["vout"],
+                              supervised.samples["vout"])
+        # the cmin is visible in the samples, so the checks above bite
+        default = monte_carlo_transient(_rc(), meas, **self.KW)
+        assert not np.array_equal(serial.samples["vout"],
+                                  default.samples["vout"])
+        with AnalysisServer() as server:
+            remote = scatter_monte_carlo_transient(
+                [server.url], compiled, meas, **self.KW)
+        assert np.array_equal(serial.samples["vout"],
+                              remote.samples["vout"])
+
+    def test_compiled_backend_reaches_every_worker(self):
+        # on a nonlinear circuit the dense and the default backend
+        # round differently, so a worker on the wrong one is visible
+        ota = five_transistor_ota(default_technology())
+        kw = dict(n=8, t_stop=2e-8, dt=1e-10, seed=11, chunk_size=4)
+        meas = [DcLevel("vout", "out")]
+        serial, pooled, supervised = self._three_runs(
+            compile_circuit(ota, backend="dense"), meas, kw)
+        assert np.array_equal(serial.samples["vout"],
+                              pooled.samples["vout"])
+        assert np.array_equal(serial.samples["vout"],
+                              supervised.samples["vout"])
+        default = monte_carlo_transient(ota, meas, **kw)
+        assert not np.array_equal(serial.samples["vout"],
+                                  default.samples["vout"])
+
+    def test_unregistered_measure_runs_pooled(self):
+        meas = [LiveLevel("vout", "out")]
+        serial, pooled, supervised = self._three_runs(_rc(), meas)
+        assert np.array_equal(serial.samples["vout"],
+                              pooled.samples["vout"])
+        assert np.array_equal(serial.samples["vout"],
+                              supervised.samples["vout"])
+
+    def test_live_measure_spec_refuses_json(self):
+        (spec, *_) = mc_transient_shards(
+            _rc(), [LiveLevel("vout", "out")], 8, 3e-6, 2e-8,
+            chunk_size=4)
+        d = spec.to_dict()
+        assert isinstance(d["measures"][0], LiveLevel)
+        with pytest.raises(TypeError):
+            json.dumps(d)
+
+    def test_spec_carries_the_compiles_cmin(self):
+        kw = dict(chunk_size=4)
+        args = ([DcLevel("vout", "out")], 8, 3e-6, 2e-8)
+        (planned, *_) = mc_transient_shards(
+            compile_circuit(_rc(), cmin=1e-13), *args, **kw)
+        (plain, *_) = mc_transient_shards(_rc(), *args, **kw)
+        assert planned.cmin == 1e-13
+        assert ShardSpec.from_json(planned.to_json()).cmin == 1e-13
+        assert plain.cmin == 1e-16  # CMIN_DEFAULT
+        assert planned.options["backend"] == "cached"  # the auto pick
+        assert plain.options["backend"] is None
+        (dc, *_) = mc_dc_shards(compile_circuit(_rc(), cmin=2e-14),
+                                {"vout": "out"}, 8, 4)
+        assert dc.cmin == 2e-14
 
 
 class TestDcShards:

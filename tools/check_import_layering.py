@@ -30,6 +30,13 @@ Each named rule below pins one edge of that graph:
     closed serialization registry, and a transport that reaches into
     the numerical layers would bypass it.
 
+``process-pools-in-jobs``
+    ``ProcessPoolExecutor`` appears only in
+    ``repro/service/jobs.py`` - in code, imports and docstrings alike.
+    The job queue is the one place worker processes are spawned and
+    supervised (deadlines, crash respawn, retries); a raw pool anywhere
+    else would be an unsupervised second dispatch path.
+
 ``examples-use-facade``
     Examples import :mod:`repro.api` - the closed, versioned public
     surface - and nothing deeper.  The examples double as the
@@ -59,21 +66,22 @@ class Rule:
     """One forbidden-import edge: *patterns* may not appear in *paths*.
 
     *paths* are repo-relative and may name directories (scanned
-    recursively for ``*.py``) or single files.
+    recursively for ``*.py``) or single files; files named in *exempt*
+    are skipped.
     """
 
     name: str
     paths: tuple[str, ...]
     patterns: tuple[re.Pattern, ...]
     description: str
+    exempt: tuple[str, ...] = ()
 
     def files(self, root: Path):
+        skip = {root / rel for rel in self.exempt}
         for rel in self.paths:
             path = root / rel
-            if path.is_file():
-                yield path
-            else:
-                yield from sorted(path.rglob("*.py"))
+            found = [path] if path.is_file() else sorted(path.rglob("*.py"))
+            yield from (p for p in found if p not in skip)
 
     def violations(self, root: Path) -> list[str]:
         found = []
@@ -135,6 +143,15 @@ RULES = (
         description="network front-end importing numerical internals "
                     "(everything on the wire goes through the "
                     "service-layer surfaces)",
+    ),
+    Rule(
+        name="process-pools-in-jobs",
+        paths=("src/repro",),
+        exempt=("src/repro/service/jobs.py",),
+        patterns=(re.compile(r".*\bProcessPoolExecutor\b"),),
+        description="process pool outside repro/service/jobs.py (worker "
+                    "processes are spawned and supervised only by the "
+                    "job queue)",
     ),
     Rule(
         name="examples-use-facade",
